@@ -524,35 +524,40 @@ func (t *Tuner) crackShard(sh *shard) int {
 	return w
 }
 
-// runActionsSpinCap bounds how many consecutive contended attempts
-// RunActions tolerates before giving up its remaining budget: claims are
-// held only for the duration of one crack, so sustained contention means
-// more workers than refinable columns.
+// runActionsSpinCap bounds how many consecutive contended attempts one
+// budget slot tolerates before it is given up: claims are held only for the
+// duration of one action, so sustained contention means the claimed columns
+// are held elsewhere (another pool's worker or the auto-idle runner) for
+// far longer than a crack.
 const runActionsSpinCap = 1 << 12
 
-// RunActions performs up to n refinement actions, returning how many ran
-// and the elements they touched. It stops early when every column is
-// converged. This implements the paper's idle windows of X actions.
-// Contended attempts (another worker holds every refinable column) retry
-// after yielding the processor and are not counted as actions.
-func (t *Tuner) RunActions(n int) (actions int, work int64) {
-	spins := 0
-	for actions < n {
-		w, res := t.TryStep()
-		switch res {
-		case StepWorked:
-			actions++
-			work += int64(w)
-			spins = 0
-		case StepContended:
-			spins++
-			if spins > runActionsSpinCap {
-				return actions, work
-			}
-			runtime.Gosched()
-		case StepExhausted:
-			return actions, work
+// stepPatiently is TryStep for one budget slot: contended attempts retry
+// after yielding the processor, up to runActionsSpinCap in a row, so the
+// result is StepContended only once that cap is passed.
+func (t *Tuner) stepPatiently() (work int, res StepResult) {
+	for spins := 0; ; spins++ {
+		work, res = t.TryStep()
+		if res != StepContended || spins >= runActionsSpinCap {
+			return work, res
 		}
+		runtime.Gosched()
+	}
+}
+
+// RunActions performs up to n refinement actions, returning how many ran
+// and the elements they touched. This implements the paper's idle windows
+// of X actions. It returns fewer than n only when every column is converged
+// or when the refinable columns stay claimed by another worker for more
+// than runActionsSpinCap attempts; contended attempts are not counted as
+// actions.
+func (t *Tuner) RunActions(n int) (actions int, work int64) {
+	for actions < n {
+		w, res := t.stepPatiently()
+		if res != StepWorked {
+			break
+		}
+		actions++
+		work += int64(w)
 	}
 	return actions, work
 }
@@ -561,44 +566,55 @@ func (t *Tuner) RunActions(n int) (actions int, work int64) {
 // over a pool of workers: the multi-core version of the paper's "idle time
 // is the time needed to apply X random index refinement actions". Workers
 // claim slots of the shared budget atomically and fan out across column
-// shards via TryStep. workers <= 1 degrades to the serial RunActions.
+// shards via TryStep. The pool is no larger than the number of registered
+// shards and aux actions, since a worker beyond those can only spin; a pool
+// of one degrades to the serial RunActions, bit for bit.
+//
+// It keeps RunActions' contract: fewer than n actions only when every
+// column is converged, or when a claimant outside the pool holds the
+// refinable columns for longer than the spin cap. A worker that gives up a
+// contended slot hands it back to the budget, and if the pool drains short
+// of n without having seen exhaustion — a sibling may have seen the budget
+// spent before the slot came back — the serial loop runs the remainder.
 func (t *Tuner) RunActionsParallel(n, workers int) (actions int, work int64) {
 	if workers > n {
 		workers = n
+	}
+	if claimable := len(t.snapshotShards()) + len(t.snapshotAux()); workers > claimable {
+		workers = claimable
 	}
 	if workers <= 1 {
 		return t.RunActions(n)
 	}
 	var budget, acts, wrk atomic.Int64
+	var exhausted atomic.Bool
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			spins := 0
 			for budget.Add(1) <= int64(n) {
-			attempt:
-				w, res := t.TryStep()
-				switch res {
-				case StepWorked:
-					acts.Add(1)
-					wrk.Add(int64(w))
-					spins = 0
-				case StepContended:
-					spins++
-					if spins > runActionsSpinCap {
-						return
+				w, res := t.stepPatiently()
+				if res != StepWorked {
+					budget.Add(-1) // hand the unspent slot back
+					if res == StepExhausted {
+						exhausted.Store(true)
 					}
-					runtime.Gosched()
-					goto attempt // retry the claimed budget slot
-				case StepExhausted:
 					return
 				}
+				acts.Add(1)
+				wrk.Add(int64(w))
 			}
 		}()
 	}
 	wg.Wait()
-	return int(acts.Load()), wrk.Load()
+	actions, work = int(acts.Load()), wrk.Load()
+	if actions < n && !exhausted.Load() {
+		a, w := t.RunActions(n - actions)
+		actions += a
+		work += w
+	}
+	return actions, work
 }
 
 // MaybeBoost implements the "No Time" opportunity: called by the select

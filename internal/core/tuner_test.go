@@ -3,7 +3,9 @@ package core
 import (
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"holistic/internal/cracker"
 	"holistic/internal/stats"
@@ -300,16 +302,87 @@ func TestSeedWorkloadUnregisteredColumnIgnored(t *testing.T) {
 }
 
 func TestDeterministicGivenSeed(t *testing.T) {
-	run := func() (int64, int) {
+	run := func(window func(*Tuner)) (int64, int) {
 		tn := NewTuner(Config{TargetPieceSize: 64, Seed: 42}, nil)
 		c := newFakeColumn("a", 4096, 1<<16, 7)
 		tn.Register(c, 0, 1<<16)
-		tn.RunActions(100)
+		window(tn)
 		return tn.Work(), c.pieces()
 	}
-	w1, p1 := run()
-	w2, p2 := run()
+	serial := func(tn *Tuner) { tn.RunActions(100) }
+	w1, p1 := run(serial)
+	w2, p2 := run(serial)
 	if w1 != w2 || p1 != p2 {
 		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", w1, p1, w2, p2)
+	}
+	// A one-worker pool is the serial loop: same seed, same design.
+	w3, p3 := run(func(tn *Tuner) { tn.RunActionsParallel(100, 1) })
+	if w1 != w3 || p1 != p3 {
+		t.Fatalf("one-worker pool diverged: (%d,%d) vs serial (%d,%d)", w3, p3, w1, p1)
+	}
+}
+
+// blockingAux is an always-pending aux action whose first Run holds its
+// claim until the tuner has tallied more than runActionsSpinCap contended
+// attempts, i.e. until a sibling worker has given up its budget slot.
+type blockingAux struct {
+	tn    *Tuner
+	first atomic.Bool
+	t     *testing.T
+}
+
+func (b *blockingAux) Name() string   { return "aux:blocking" }
+func (b *blockingAux) Score() float64 { return 1 }
+func (b *blockingAux) Run() int {
+	if b.first.CompareAndSwap(false, true) {
+		deadline := time.Now().Add(10 * time.Second)
+		for b.tn.Contended() <= runActionsSpinCap {
+			if time.Now().After(deadline) {
+				b.t.Error("no sibling worker contended for the held aux action")
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return 1
+}
+
+// TestRunActionsParallelKeepsGivenUpSlot pins the lost-slot defect: one
+// worker holds the only refinable action while its sibling exhausts the
+// spin cap on the slot it claimed. That slot must still run, so the window
+// applies both actions rather than one. The tiny second column is already
+// converged (never refinable); it only makes the pool two workers wide.
+func TestRunActionsParallelKeepsGivenUpSlot(t *testing.T) {
+	tn := NewTuner(Config{Seed: 3}, nil)
+	tn.Register(newFakeColumn("converged", 16, 1<<10, 5), 0, 1<<10)
+	tn.RegisterAux(&blockingAux{tn: tn, t: t})
+	if actions, work := tn.RunActionsParallel(2, 2); actions != 2 || work != 2 {
+		t.Fatalf("RunActionsParallel(2, 2) = %d actions, %d work; want 2, 2", actions, work)
+	}
+	if runs := tn.AuxRuns(); runs != 2 {
+		t.Fatalf("aux ran %d times, want 2", runs)
+	}
+}
+
+// TestRunActionsParallelRunsExactlyN: with work left on one or three cracked
+// columns, an idle window of n actions applies exactly n, whatever the pool
+// size.
+func TestRunActionsParallelRunsExactlyN(t *testing.T) {
+	const n = 199
+	for _, cols := range []int{1, 3} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			tn := NewTuner(Config{TargetPieceSize: 16, Seed: 9}, nil)
+			for i := 0; i < cols; i++ {
+				c := newFakeColumn(string(rune('a'+i)), 1<<15, 1<<20, uint64(i+1))
+				tn.Register(c, 0, 1<<20)
+				tn.NoteQuery(c.Name(), 0, 1<<19)
+			}
+			if actions, _ := tn.RunActionsParallel(n, workers); actions != n {
+				t.Fatalf("cols=%d workers=%d: %d actions, want %d", cols, workers, actions, n)
+			}
+			if got := tn.Actions(); got != n {
+				t.Fatalf("cols=%d workers=%d: Actions() = %d, want %d", cols, workers, got, n)
+			}
+		}
 	}
 }

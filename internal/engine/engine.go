@@ -463,7 +463,10 @@ func (e *Engine) DropFullIndex(table, col string) error {
 // box the same X actions take a fraction of the wall-clock idle time; set
 // IdleWorkers to 1 for the paper's serial protocol and bit-reproducible
 // action sequences. It returns the actions performed and the elements they
-// touched. For the online strategy it instead forces a design review
+// touched: exactly n for the holistic strategy, whatever the worker count,
+// unless every column converges first or the auto-idle pool holds the
+// refinable columns for longer than the tuner's spin cap (see
+// core.Tuner.RunActionsParallel). For the online strategy it instead forces a design review
 // (building any advised indexes); for other strategies idle time cannot be
 // exploited and it returns zeros — reproducing the Scan/Adaptive rows of
 // Table 1.
